@@ -58,6 +58,17 @@ import (
 	"mobisense/internal/metrics"
 )
 
+// Connection timeouts for both listeners. They bound how long a client
+// may take to send request headers and how long an idle keep-alive
+// connection is held, so slow or abandoned clients cannot pin
+// connections. No read or write timeout is set: sweep submissions carry
+// bodies of any size, and SSE progress streams and pprof profiles are
+// long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(run())
 }
@@ -130,7 +141,13 @@ func run() int {
 		}))
 		go func() {
 			logger.Info("debug listener up", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, http.DefaultServeMux); err != nil {
+			ds := &http.Server{
+				Addr:              *debugAddr,
+				Handler:           http.DefaultServeMux,
+				ReadHeaderTimeout: readHeaderTimeout,
+				IdleTimeout:       idleTimeout,
+			}
+			if err := ds.ListenAndServe(); err != nil {
 				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
 			}
 		}()
@@ -155,7 +172,12 @@ func run() int {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serving deployment API on %s (data in %s)\n", *addr, *dataDir)

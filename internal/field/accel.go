@@ -192,7 +192,10 @@ func (a *accel) edgeSeg(i int32) geom.Segment {
 // with ties broken by solid order and then edge order).
 func (a *accel) firstHit(s geom.Segment) (Hit, bool) {
 	sDir := s.B.Sub(s.A)
-	sLen := sDir.Len()
+	// The segment length only feeds the parallel-edge test, so its Hypot
+	// waits for the first edge that survives the bbox reject (-1 = not
+	// yet computed; a length is never negative).
+	sLen := -1.0
 	sbMinX := math.Min(s.A.X, s.B.X) - accelPad
 	sbMinY := math.Min(s.A.Y, s.B.Y) - accelPad
 	sbMaxX := math.Max(s.A.X, s.B.X) + accelPad
@@ -232,6 +235,9 @@ func (a *accel) firstHit(s geom.Segment) (Hit, bool) {
 					continue
 				}
 				e := a.edgeSeg(ei)
+				if sLen < 0 {
+					sLen = sDir.Len()
+				}
 				// Identical predicates to Polygon.IntersectSegment: skip
 				// parallel edges (grazing is not a crossing), then take
 				// the exact segment-segment parameter.
@@ -414,7 +420,7 @@ func (p Probe) VisibleFree(a, b geom.Vec) bool {
 	ac := f.accel
 	s := geom.Seg(a, b)
 	sDir := s.B.Sub(s.A)
-	sLen := sDir.Len()
+	sLen := -1.0 // computed lazily, as in accel.firstHit
 	sbMinX := math.Min(a.X, b.X) - accelPad
 	sbMinY := math.Min(a.Y, b.Y) - accelPad
 	sbMaxX := math.Max(a.X, b.X) + accelPad
@@ -427,6 +433,9 @@ func (p Probe) VisibleFree(a, b geom.Vec) bool {
 			continue
 		}
 		e := ac.edgeSeg(ei)
+		if sLen < 0 {
+			sLen = sDir.Len()
+		}
 		if math.Abs(sDir.Cross(e.B.Sub(e.A))) < geom.Eps*math.Max(1, sLen*ac.elen[ei]) {
 			continue
 		}

@@ -96,16 +96,18 @@ func Run(cfg Config) (Result, error) {
 
 // resultFromWorld gathers metrics from an event-driven scheme run. All
 // layout metrics consider the surviving sensors only. A traced run hands
-// in its tracer so the final coverage figures are read from the already
+// in its tracer: the final coverage figures are read from its already
 // up-to-date incremental tracker instead of a fresh full scan
-// (bit-identical: the tracker's integer counts are the brute scan's).
+// (bit-identical: the tracker's integer counts are the brute scan's), and
+// its samples receive their coverage fractions.
 func resultFromWorld(cfg Config, w *core.World, tr *tracer) Result {
 	layout := w.AliveLayout()
 	var cov, cov2 float64
-	if tr != nil && tr.wt != nil && tr.wt.seeded {
-		tr.wt.sync(w)
-		cov, cov2 = tr.wt.t.Fraction(), tr.wt.t.KFraction(2)
-	} else {
+	ok := false
+	if tr != nil {
+		cov, cov2, ok = tr.finalCoverage(w, layout)
+	}
+	if !ok {
 		cov, cov2 = coveragePair(cfg, cfg.estimatorFor(w.F), layout)
 	}
 	res := resultWithCoverage(cfg, w.F, layout, w.AvgTraveled(), cov, cov2)

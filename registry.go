@@ -114,6 +114,7 @@ func runEventScheme(cfg Config, f *ifield.Field, scheme core.Scheme, onKill func
 	if cfg.Trace != nil {
 		tr = &tracer{cfg: cfg, f: f}
 		tr.attach(w, params.Duration)
+		defer tr.close()
 	}
 	w.E.RunUntil(minHorizon)
 	for stabCap > 0 && w.Now() < stabCap && w.LastMoveTime() > w.Now()-stabChunk {
@@ -124,9 +125,6 @@ func runEventScheme(cfg Config, f *ifield.Field, scheme core.Scheme, onKill func
 	res.InitialPositions = toPoints(starts)
 	if tr != nil {
 		res.Trace = tr.samples
-		if tr.wt != nil {
-			tr.wt.release()
-		}
 	}
 	if fs, ok := scheme.(*floor.Scheme); ok {
 		res.Placements = fs.PlacementsByKind()

@@ -7,6 +7,7 @@ import (
 	"mobisense/internal/core"
 	"mobisense/internal/coverage"
 	ifield "mobisense/internal/field"
+	"mobisense/internal/geom"
 )
 
 // TraceOptions turns on run-level telemetry for event-driven schemes
@@ -165,16 +166,18 @@ type tracer struct {
 	cfg     Config
 	f       *ifield.Field
 	samples []TraceSample
-	// wt is the incremental coverage tracker (nil when the engine is
-	// disabled): seeded on the first sample, then updated per sample in
-	// O(moved sensors × disk window) instead of O(grid × N).
-	wt *worldTracker
+	// cp runs the incremental coverage tracker beside the engine (nil
+	// when the engine is disabled): seeded on the first sample, then
+	// updated per sample in O(moved sensors × disk window) instead of
+	// O(grid × N). Its per-sample fractions land in samples only at
+	// finalCoverage; until then their Coverage fields are zero.
+	cp *covPipe
 }
 
 // attach schedules periodic sampling on the world's engine, from t=0 to
 // the horizon. The sampler reads world state and computes coverage but
 // never consumes engine randomness, keeping traced runs bit-identical to
-// untraced ones.
+// untraced ones. A tracer that attached must be closed.
 func (tr *tracer) attach(w *core.World, horizon float64) {
 	stride := tr.cfg.Trace.stride(w.P.Period)
 	layouts := tr.cfg.Trace.Layouts
@@ -184,26 +187,25 @@ func (tr *tracer) attach(w *core.World, horizon float64) {
 	}
 	est := tr.cfg.estimatorFor(tr.f)
 	if coverage.IncrementalEnabled() {
-		tr.wt = newWorldTracker(est, tr.cfg.Rs, len(w.Sensors), seedWorkers(tr.cfg))
+		tr.cp = startCovPipe(est, tr.cfg.Rs, len(w.Sensors), seedWorkers(tr.cfg))
 	}
 	var cs core.TraceSample
 	w.E.ScheduleEvery(0, stride, func() bool {
 		layout := w.SampleTrace(&cs)
-		var cov float64
-		if tr.wt != nil {
-			tr.wt.sync(w)
-			cov = tr.wt.t.Fraction()
-		} else {
-			cov = est.Fraction(layout, tr.cfg.Rs)
-		}
 		sample := TraceSample{
 			Time:       cs.Time,
-			Coverage:   cov,
 			Connected:  cs.Connected,
 			Alive:      cs.Alive,
 			Moving:     cs.Moving,
 			TotalMoved: cs.TotalMoved,
 			MaxMoved:   cs.MaxMoved,
+		}
+		if tr.cp != nil {
+			tr.cp.send(w, layout, true)
+		} else {
+			// The brute-force path stays synchronous: it is the oracle
+			// the incremental engine is A/B-tested against.
+			sample.Coverage = est.Fraction(layout, tr.cfg.Rs)
 		}
 		if layouts && len(tr.samples)%layoutStride == 0 {
 			// The world's scratch layout is only valid until the next
@@ -215,4 +217,28 @@ func (tr *tracer) attach(w *core.World, horizon float64) {
 		// drops whatever is still queued past the final RunUntil.
 		return cs.Time < horizon
 	})
+}
+
+// finalCoverage syncs the coverage worker to the world's final layout,
+// fills every sample's Coverage and returns the final 1- and 2-coverage
+// fractions. ok is false when there is no incremental tracker to read
+// (engine disabled, or no sample taken).
+func (tr *tracer) finalCoverage(w *core.World, layout []geom.Vec) (cov, cov2 float64, ok bool) {
+	if tr.cp == nil {
+		return 0, 0, false
+	}
+	fracs, cov, cov2, ok := tr.cp.finish(w, layout)
+	for k := range tr.samples {
+		tr.samples[k].Coverage = fracs[k]
+	}
+	return cov, cov2, ok
+}
+
+// close stops the coverage worker and recycles its tracker. It runs
+// deferred, so a panicking scheme cannot strand the goroutine.
+func (tr *tracer) close() {
+	if tr.cp != nil {
+		tr.cp.stop()
+		tr.cp = nil
+	}
 }
