@@ -432,7 +432,7 @@ func printAggregates(sr mobisense.SweepResult) {
 		}
 		fmt.Printf("%s on %s, N=%d", a.Scheme, scen, a.N)
 		for _, ax := range a.Axes {
-			fmt.Printf(", %s=%g", ax.Name, ax.Value)
+			fmt.Printf(", %s=%s", ax.Name, ax.ValueString())
 		}
 		fmt.Printf(": %d runs", a.Runs)
 		if a.Errors > 0 {

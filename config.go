@@ -2,6 +2,7 @@ package mobisense
 
 import (
 	"fmt"
+	"math"
 
 	"mobisense/internal/baseline"
 	"mobisense/internal/core"
@@ -10,6 +11,7 @@ import (
 	"mobisense/internal/field"
 	"mobisense/internal/floor"
 	"mobisense/internal/geom"
+	istore "mobisense/internal/store"
 )
 
 // Scheme identifies a deployment scheme.
@@ -32,11 +34,8 @@ const (
 	SchemeOPT Scheme = "opt"
 )
 
-// Point is a 2-D point in meters.
-type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
+// Point is a 2-D point in meters (the sweep store's wire type).
+type Point = istore.Point
 
 // Config describes one deployment run. The zero value is not runnable; use
 // DefaultConfig and adjust.
@@ -192,6 +191,11 @@ func (c Config) validate() error {
 	}
 	if err := c.Trace.validate(); err != nil {
 		return err
+	}
+	// Non-positive resolutions select the default, so -Inf would slip
+	// past the range check in Params.Validate.
+	if math.IsInf(c.CoverageRes, -1) {
+		return fmt.Errorf("mobisense: coverage resolution %v must be finite", c.CoverageRes)
 	}
 	return c.params().Validate()
 }

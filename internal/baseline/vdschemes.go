@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"mobisense/internal/field"
@@ -162,13 +161,7 @@ func Explode(f *field.Field, start []geom.Vec, seed uint64) ([]geom.Vec, []float
 	for i := range targets {
 		targets[i] = f.RandomFreePoint(rng, f.Bounds())
 	}
-	src := make([]matching.Point, n)
-	dst := make([]matching.Point, n)
-	for i := 0; i < n; i++ {
-		src[i] = matching.Point{X: start[i].X, Y: start[i].Y}
-		dst[i] = matching.Point{X: targets[i].X, Y: targets[i].Y}
-	}
-	assign, _, err := matching.Solve(buildCost(src, dst))
+	assign, _, err := matching.SolvePoints(start, targets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("baseline: explosion matching: %w", err)
 	}
@@ -181,18 +174,6 @@ func Explode(f *field.Field, start []geom.Vec, seed uint64) ([]geom.Vec, []float
 	return out, dists, nil
 }
 
-func buildCost(src, dst []matching.Point) [][]float64 {
-	cost := make([][]float64, len(src))
-	for i, s := range src {
-		row := make([]float64, len(dst))
-		for j, d := range dst {
-			row[j] = math.Hypot(s.X-d.X, s.Y-d.Y)
-		}
-		cost[i] = row
-	}
-	return cost
-}
-
 // MinMatchingDistance returns the per-sensor distances of the minimum-cost
 // assignment from start to the first len(start) positions of layout; it is
 // the Hungarian lower bound used twice in Figure 11 (optimal-pattern
@@ -201,15 +182,7 @@ func MinMatchingDistance(start, layout []geom.Vec) ([]float64, error) {
 	if len(layout) < len(start) {
 		return nil, fmt.Errorf("baseline: layout has %d positions for %d sensors", len(layout), len(start))
 	}
-	src := make([]matching.Point, len(start))
-	for i, p := range start {
-		src[i] = matching.Point{X: p.X, Y: p.Y}
-	}
-	dst := make([]matching.Point, len(layout))
-	for i, p := range layout {
-		dst[i] = matching.Point{X: p.X, Y: p.Y}
-	}
-	assign, _, err := matching.Solve(buildCost(src, dst))
+	assign, _, err := matching.SolvePoints(start, layout)
 	if err != nil {
 		return nil, err
 	}

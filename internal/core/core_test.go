@@ -38,6 +38,15 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.Duration = -1 },
 		func(p *Params) { p.PhaseJitter = 1 },
 		func(p *Params) { p.CoverageRes = 0 },
+		func(p *Params) { p.Rc = math.NaN() },
+		func(p *Params) { p.Rs = math.Inf(1) },
+		func(p *Params) { p.Speed = math.NaN() },
+		func(p *Params) { p.Period = math.Inf(1) },
+		func(p *Params) { p.Duration = math.NaN() },
+		func(p *Params) { p.Duration = math.Inf(1) },
+		func(p *Params) { p.PhaseJitter = math.NaN() },
+		func(p *Params) { p.CoverageRes = math.NaN() },
+		func(p *Params) { p.CoverageRes = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		p := DefaultParams()
@@ -253,7 +262,7 @@ func TestTreeBasics(t *testing.T) {
 	if d := tr.Depth(4); d != -1 {
 		t.Errorf("detached depth = %d", d)
 	}
-	anc := tr.Ancestors(3)
+	anc := tr.AncestorsAppend(nil, 3)
 	if len(anc) != 2 || anc[0] != 1 || anc[1] != 0 {
 		t.Errorf("ancestors = %v", anc)
 	}

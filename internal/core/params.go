@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mobisense/internal/geom"
 )
@@ -68,26 +69,33 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. Real-valued
+// parameters must be finite, and each comparison is written so that NaN
+// fails it: a NaN range would otherwise run and report a plausible
+// number, and an infinite horizon would never end.
 func (p Params) Validate() error {
 	switch {
 	case p.N <= 0:
 		return fmt.Errorf("core: N = %d, must be positive", p.N)
-	case p.Rc <= 0 || p.Rs <= 0:
-		return fmt.Errorf("core: ranges rc=%v rs=%v must be positive", p.Rc, p.Rs)
-	case p.Speed <= 0:
-		return fmt.Errorf("core: speed %v must be positive", p.Speed)
-	case p.Period <= 0:
-		return fmt.Errorf("core: period %v must be positive", p.Period)
-	case p.Duration < 0:
-		return fmt.Errorf("core: duration %v must be non-negative", p.Duration)
-	case p.PhaseJitter < 0 || p.PhaseJitter >= 1:
+	case !finitePositive(p.Rc) || !finitePositive(p.Rs):
+		return fmt.Errorf("core: ranges rc=%v rs=%v must be finite and positive", p.Rc, p.Rs)
+	case !finitePositive(p.Speed):
+		return fmt.Errorf("core: speed %v must be finite and positive", p.Speed)
+	case !finitePositive(p.Period):
+		return fmt.Errorf("core: period %v must be finite and positive", p.Period)
+	case !(p.Duration >= 0) || math.IsInf(p.Duration, 1):
+		return fmt.Errorf("core: duration %v must be finite and non-negative", p.Duration)
+	case !(p.PhaseJitter >= 0 && p.PhaseJitter < 1):
 		return fmt.Errorf("core: phase jitter %v must be in [0,1)", p.PhaseJitter)
-	case p.CoverageRes <= 0:
-		return fmt.Errorf("core: coverage resolution %v must be positive", p.CoverageRes)
+	case !finitePositive(p.CoverageRes):
+		return fmt.Errorf("core: coverage resolution %v must be finite and positive", p.CoverageRes)
 	}
 	return nil
 }
+
+// finitePositive reports whether x is a positive real number; NaN and
+// +Inf both fail.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MaxStep returns the maximum distance a sensor can travel in one period.
 func (p Params) MaxStep() float64 { return p.Speed * p.Period }

@@ -123,15 +123,9 @@ func (t *Tree) IsAncestor(a, id int) bool {
 	return false
 }
 
-// Ancestors returns the chain of sensor ancestors of id, nearest first,
-// excluding the base station sentinel. FLOOR keeps this list in each
-// sensor's memory (§5.3).
-func (t *Tree) Ancestors(id int) []int {
-	return t.AncestorsAppend(nil, id)
-}
-
 // AncestorsAppend appends the chain of sensor ancestors of id (nearest
 // first, excluding the base-station sentinel) to out and returns it.
+// FLOOR keeps this list in each sensor's memory (§5.3).
 func (t *Tree) AncestorsAppend(out []int, id int) []int {
 	cur := t.parent[id]
 	for hops := 0; hops <= len(t.parent) && cur >= 0; hops++ {

@@ -71,7 +71,7 @@ func TestFractionMonotoneInSensors(t *testing.T) {
 func TestCoveredArea(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
 	e := NewEstimator(f, 1)
-	got := e.CoveredArea([]geom.Vec{geom.V(50, 50)}, 10)
+	got := e.Fraction([]geom.Vec{geom.V(50, 50)}, 10) * e.FreeArea()
 	want := math.Pi * 100
 	if math.Abs(got-want) > 0.05*want {
 		t.Errorf("covered area = %v, want ~%v", got, want)

@@ -14,12 +14,6 @@ func (c Circle) Contains(p Vec) bool { return c.C.Dist2(p) <= (c.R+Eps)*(c.R+Eps
 // Area returns the area of the disk.
 func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 
-// PointAt returns the point on the circle at polar angle theta.
-func (c Circle) PointAt(theta float64) Vec {
-	s, cos := math.Sincos(theta)
-	return Vec{c.C.X + c.R*cos, c.C.Y + c.R*s}
-}
-
 // IntersectSegment returns the portion of segment s inside the circle as a
 // parameter interval [t0, t1] ⊆ [0, 1] along s, and whether the segment
 // touches the disk at all.

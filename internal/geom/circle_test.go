@@ -20,14 +20,6 @@ func TestCircleContains(t *testing.T) {
 	}
 }
 
-func TestCirclePointAt(t *testing.T) {
-	c := Circle{C: V(1, 2), R: 3}
-	p := c.PointAt(math.Pi / 2)
-	if !p.Eq(V(1, 5)) {
-		t.Errorf("PointAt(pi/2) = %v", p)
-	}
-}
-
 func TestCircleIntersectSegment(t *testing.T) {
 	c := Circle{C: V(0, 0), R: 5}
 	tests := []struct {

@@ -92,15 +92,6 @@ func (v Vec) Perp() Vec { return Vec{-v.Y, v.X} }
 // Neg returns -v.
 func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
 
-// Angle returns the polar angle of v in radians, in (-pi, pi].
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
-// Rotate returns v rotated by theta radians counter-clockwise.
-func (v Vec) Rotate(theta float64) Vec {
-	s, c := math.Sincos(theta)
-	return Vec{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // Lerp returns the linear interpolation between v and w at parameter t,
 // with t=0 yielding v and t=1 yielding w.
 func (v Vec) Lerp(w Vec, t float64) Vec {

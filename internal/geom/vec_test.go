@@ -44,7 +44,6 @@ func TestVecScalarOps(t *testing.T) {
 		{"len", V(3, 4).Len(), 5},
 		{"len2", V(3, 4).Len2(), 25},
 		{"dist", V(1, 1).Dist(V(4, 5)), 5},
-		{"angle", V(0, 2).Angle(), math.Pi / 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -52,18 +51,6 @@ func TestVecScalarOps(t *testing.T) {
 				t.Errorf("got %v, want %v", tt.got, tt.want)
 			}
 		})
-	}
-}
-
-func TestVecRotate(t *testing.T) {
-	v := V(1, 0)
-	got := v.Rotate(math.Pi / 2)
-	if !got.Eq(V(0, 1)) {
-		t.Errorf("rotate 90: got %v", got)
-	}
-	got = v.Rotate(math.Pi)
-	if !got.Eq(V(-1, 0)) {
-		t.Errorf("rotate 180: got %v", got)
 	}
 }
 
@@ -90,24 +77,6 @@ func TestVecIsFinite(t *testing.T) {
 	}
 	if V(math.NaN(), 0).IsFinite() || V(0, math.Inf(1)).IsFinite() {
 		t.Error("non-finite vec reported finite")
-	}
-}
-
-// Property: rotation preserves length.
-func TestVecRotatePreservesLength(t *testing.T) {
-	f := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(theta) ||
-			math.IsInf(x, 0) || math.IsInf(y, 0) || math.IsInf(theta, 0) {
-			return true
-		}
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		v := V(x, y)
-		rot := v.Rotate(math.Mod(theta, 2*math.Pi))
-		return almostEq(v.Len(), rot.Len(), 1e-6*(1+v.Len()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"mobisense/internal/geom"
 )
 
 // ErrShape is returned when the cost matrix is empty, ragged, or has more
@@ -127,8 +129,7 @@ func SolvePoints(sources, targets []Point) (assignment []int, total float64, err
 	return Solve(cost)
 }
 
-// Point is a 2-D point. It mirrors geom.Vec without importing it, keeping
-// this package dependency-free (useful for reuse and fuzzing).
-type Point struct {
-	X, Y float64
-}
+// Point is a 2-D point: geom.Vec itself, so callers pass layouts without
+// copying. geom is a stdlib-only leaf, so this package still depends on
+// nothing else (useful for reuse and fuzzing).
+type Point = geom.Vec

@@ -180,8 +180,8 @@ func TestSolveNeverWorseThanIdentity(t *testing.T) {
 }
 
 func TestSolvePoints(t *testing.T) {
-	sources := []Point{{0, 0}, {10, 0}}
-	targets := []Point{{10, 1}, {0, 1}}
+	sources := []Point{{X: 0, Y: 0}, {X: 10, Y: 0}}
+	targets := []Point{{X: 10, Y: 1}, {X: 0, Y: 1}}
 	assign, total, err := SolvePoints(sources, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestSolvePointsShapeError(t *testing.T) {
 	if _, _, err := SolvePoints(nil, nil); !errors.Is(err, ErrShape) {
 		t.Errorf("err = %v", err)
 	}
-	if _, _, err := SolvePoints([]Point{{0, 0}, {1, 1}}, []Point{{0, 0}}); !errors.Is(err, ErrShape) {
+	if _, _, err := SolvePoints([]Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, []Point{{X: 0, Y: 0}}); !errors.Is(err, ErrShape) {
 		t.Errorf("err = %v", err)
 	}
 }

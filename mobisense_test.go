@@ -61,6 +61,35 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFinite checks that NaN and infinite parameters are
+// errors rather than runs: a NaN range or speed would report a plausible
+// coverage, rs=+Inf full coverage, and an infinite duration would never
+// return.
+func TestRunRejectsNonFinite(t *testing.T) {
+	params := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"rc", func(c *Config, v float64) { c.Rc = v }},
+		{"rs", func(c *Config, v float64) { c.Rs = v }},
+		{"speed", func(c *Config, v float64) { c.Speed = v }},
+		{"period", func(c *Config, v float64) { c.Period = v }},
+		{"duration", func(c *Config, v float64) { c.Duration = v }},
+		{"coverage-res", func(c *Config, v float64) { c.CoverageRes = v }},
+	}
+	for _, p := range params {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, s := range []Scheme{SchemeCPVF, SchemeOPT} {
+				cfg := quickConfig(s)
+				p.set(&cfg, v)
+				if _, err := Run(cfg); err == nil {
+					t.Errorf("%s %s=%v: Run succeeded, want an error", s, p.name, v)
+				}
+			}
+		}
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	a, err := Run(quickConfig(SchemeFLOOR))
 	if err != nil {

@@ -178,15 +178,7 @@ func runOPTScheme(cfg Config, f *ifield.Field) (Result, error) {
 		}
 		layout = pattern
 	} else {
-		src := make([]matching.Point, len(pattern))
-		for i, p := range pattern {
-			src[i] = matching.Point{X: p.X, Y: p.Y}
-		}
-		dst := make([]matching.Point, len(starts))
-		for i, p := range starts {
-			dst[i] = matching.Point{X: p.X, Y: p.Y}
-		}
-		assign, total, err := matching.SolvePoints(src, dst)
+		assign, total, err := matching.SolvePoints(pattern, starts)
 		if err != nil {
 			return Result{}, fmt.Errorf("mobisense: %w", err)
 		}
